@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.inter.afd import afd_partition
-from repro.core.inter.dma import dma_partition
+from repro.core.inter.dma import dma_partition, order_non_disjoint
 from repro.core.inter.random_inter import random_partition
 from repro.core.intra import chen_order, ofu_order, shifts_reduce_order
 from repro.core.placement import Placement
@@ -105,6 +105,8 @@ class GeneticPlacer:
         # Crossover cut points index variables in first-appearance order.
         live = Liveness(sequence)
         self._xover_order = [sequence.index_of(v) for v in live.by_first_occurrence()]
+        weights = np.asarray(self.config.mutation_weights, dtype=float)
+        self._mutation_p = weights / weights.sum()
         self.evaluations = 0
 
     # -- fitness ---------------------------------------------------------------
@@ -139,14 +141,12 @@ class GeneticPlacer:
     def seed_individuals(self) -> list[Individual]:
         """Heuristic placements used to seed the initial population."""
         seq, q, cap = self.sequence, self.num_dbcs, self.capacity
-        seeds: list[Individual] = []
-        for intra in (shifts_reduce_order, chen_order, ofu_order, None):
-            dbcs, k = dma_partition(seq, q, cap)
-            if intra is not None:
-                for i in range(k, len(dbcs)):
-                    if len(dbcs[i]) > 1:
-                        dbcs[i] = intra(seq, dbcs[i])
-            seeds.append(self._to_individual(dbcs))
+        # One DMA partition serves every intra order (it is deterministic).
+        dbcs, k = dma_partition(seq, q, cap)
+        seeds = [
+            self._to_individual(order_non_disjoint(seq, dbcs, k, intra))
+            for intra in (shifts_reduce_order, chen_order, ofu_order, None)
+        ]
         seeds.append(self._to_individual(afd_partition(seq, q, cap)))
         return seeds
 
@@ -184,8 +184,7 @@ class GeneticPlacer:
     def mutate(self, individual: Individual) -> Individual:
         """Apply one of the three mutations, skewed 10 : 10 : 3."""
         ind = [list(d) for d in individual]
-        weights = np.asarray(self.config.mutation_weights, dtype=float)
-        kind = int(self.rng.choice(3, p=weights / weights.sum()))
+        kind = int(self.rng.choice(3, p=self._mutation_p))
         if kind == 0:
             self._mutate_move(ind)
         elif kind == 1:

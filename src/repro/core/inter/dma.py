@@ -19,8 +19,11 @@ placement costs 11 shifts against AFD's 39.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.core.placement import Placement
 from repro.errors import CapacityError
@@ -46,43 +49,54 @@ class DMASplit:
     disjoint_frequency_sum: int = 0
 
 
-def dma_split(sequence: AccessSequence) -> DMASplit:
-    """Lines 1-12 of Algorithm 1: extract the disjoint-lifespan chain."""
+def _split_codes(sequence: AccessSequence) -> tuple[list[int], list[int], int]:
+    """:func:`dma_split` on variable codes: ``(vdj, vndj, frequency sum)``.
+
+    The scan order is ascending ``F`` (unique among accessed variables),
+    then the unaccessed variables in declaration order. A candidate's
+    line-10 competitors are the still-unplaced ``u`` with ``F_u > F_v``
+    and ``L_u < L_v``. Every variable already in ``Vdj`` was scanned
+    earlier and so starts before ``F_v``: the competitors are exactly the
+    later scan entries that start before ``L_v`` and end before it too.
+    """
     live = Liveness(sequence)
     first = live.first_occurrences
     last = live.last_occurrences
     freq = live.frequencies
-    idx = sequence.index_of
-
-    vndj: list[str] = live.by_first_occurrence()
-    vdj: list[str] = []
+    order = np.argsort(
+        np.where(first == NEVER, len(sequence) + 1, first), kind="stable"
+    )
+    accessed = order[: int(np.count_nonzero(first != NEVER))]
+    f_scan = first[accessed].tolist()
+    l_scan = last[accessed]
+    a_scan = freq[accessed]
+    taken = np.zeros(len(accessed), dtype=bool)
     t_min = 0
-    # Iterate over a snapshot in ascending F order; membership tests for
-    # the nested-sum run against the *current* vndj, as in the pseudocode.
-    remaining = set(vndj)
-    for v in list(vndj):
-        iv = idx(v)
-        fv = int(first[iv])
-        if fv == NEVER or fv <= t_min:
+    for j, fv in enumerate(f_scan):
+        if fv <= t_min:
             continue
-        lv = int(last[iv])
-        nested_sum = sum(
-            int(freq[idx(u)])
-            for u in remaining
-            if u != v
-            and first[idx(u)] != NEVER
-            and int(first[idx(u)]) > fv
-            and int(last[idx(u)]) < lv
-        )
-        if int(freq[iv]) > nested_sum:
-            vdj.append(v)
-            remaining.discard(v)
+        lv = int(l_scan[j])
+        hi = bisect_left(f_scan, lv, j + 1)
+        nested_sum = int(a_scan[j + 1 : hi][l_scan[j + 1 : hi] < lv].sum())
+        if int(a_scan[j]) > nested_sum:
+            taken[j] = True
             t_min = lv
-    vndj = [v for v in vndj if v in remaining]
+    vndj = np.concatenate([accessed[~taken], order[len(accessed) :]])
+    return (
+        accessed[taken].tolist(),
+        vndj.tolist(),
+        int(a_scan[taken].sum()),
+    )
+
+
+def dma_split(sequence: AccessSequence) -> DMASplit:
+    """Lines 1-12 of Algorithm 1: extract the disjoint-lifespan chain."""
+    vdj, vndj, freq_sum = _split_codes(sequence)
+    variables = sequence.variables
     return DMASplit(
-        vdj=tuple(vdj),
-        vndj=tuple(vndj),
-        disjoint_frequency_sum=sum(int(freq[idx(v)]) for v in vdj),
+        vdj=tuple(variables[c] for c in vdj),
+        vndj=tuple(variables[c] for c in vndj),
+        disjoint_frequency_sum=freq_sum,
     )
 
 
@@ -126,15 +140,13 @@ def dma_partition(
             f"{sequence.num_variables} variables exceed {num_dbcs} DBCs x "
             f"{capacity} locations"
         )
-    split = dma_split(sequence)
-    vdj = list(split.vdj)
-    vndj = list(split.vndj)
+    vdj, vndj, vdj_frequency_sum = _split_codes(sequence)
 
     k = math.ceil(len(vdj) / capacity) if vdj else 0
     if fairness_guard and vdj:
         var_share = len(vdj) / sequence.num_variables
         total_accesses = max(len(sequence), 1)
-        access_share = split.disjoint_frequency_sum / total_accesses
+        access_share = vdj_frequency_sum / total_accesses
         fair = math.floor(num_dbcs * max(var_share, access_share) + 0.5)
         k = min(k, fair)
         if k == 0:
@@ -147,17 +159,17 @@ def dma_partition(
         vdj, overflow = vdj[:keep], vdj[keep:]
         vndj = overflow + vndj  # overflow keeps precedence by early F
 
-    dbcs: list[list[str]] = [[] for _ in range(num_dbcs)]
+    dbcs: list[list[int]] = [[] for _ in range(num_dbcs)]
     # Lines 14-17: deal Vdj round-robin over DBCs 0..K-1 in ascending F.
     for i, v in enumerate(vdj):
         dbcs[i % k].append(v)
 
     # Lines 18-21: deal Vndj over DBCs K..q-1 by descending frequency.
-    freq = sequence.frequencies
-    vndj.sort(key=lambda v: (-int(freq[sequence.index_of(v)]), sequence.index_of(v)))
+    freq = sequence.frequencies.tolist()
+    vndj.sort(key=lambda c: (-freq[c], c))
     targets = list(range(k, num_dbcs)) or list(range(num_dbcs))
     cursor = 0
-    spill: list[str] = []
+    spill: list[int] = []
     for v in vndj:
         placed = False
         for _ in range(len(targets)):
@@ -177,7 +189,27 @@ def dma_partition(
                 break
         else:  # pragma: no cover - excluded by the capacity pre-check
             raise CapacityError("no free location left during DMA distribution")
-    return dbcs, k
+    variables = sequence.variables
+    return [[variables[c] for c in dbc] for dbc in dbcs], k
+
+
+def order_non_disjoint(
+    sequence: AccessSequence,
+    dbcs: list[list[str]],
+    k: int,
+    intra: IntraHeuristic | None,
+) -> list[list[str]]:
+    """Lines 22-23 of Algorithm 1 on a :func:`dma_partition` result.
+
+    Returns a new list: ``intra`` reorders each non-disjoint DBC
+    ``k..q-1`` holding more than one variable, and every other DBC is
+    copied unchanged. ``intra=None`` copies all of them.
+    """
+    return [
+        intra(sequence, dbc)
+        if intra is not None and i >= k and len(dbc) > 1 else list(dbc)
+        for i, dbc in enumerate(dbcs)
+    ]
 
 
 def dma_placement(
@@ -197,8 +229,4 @@ def dma_placement(
     dbcs, k = dma_partition(
         sequence, num_dbcs, capacity, fairness_guard=fairness_guard
     )
-    if intra is not None:
-        for i in range(k, len(dbcs)):
-            if len(dbcs[i]) > 1:
-                dbcs[i] = intra(sequence, dbcs[i])
-    return Placement(dbcs)
+    return Placement(order_non_disjoint(sequence, dbcs, k, intra))

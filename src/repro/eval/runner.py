@@ -516,10 +516,13 @@ def run_matrix(
 ) -> dict[tuple[str, str, int], CellResult]:
     """Run the full (program x config x policy) matrix.
 
-    Results are keyed by ``(benchmark, policy, dbcs)``. Every cell gets an
-    independent deterministic RNG stream derived from the profile seed, so
-    sub-matrices reproduce the full matrix's cells exactly and the worker
-    count never changes any number. ``workers``/``backend`` default to the
+    Results are keyed by ``(benchmark, policy, dbcs)``, so ``configs``
+    must have distinct DBC counts (an :class:`~repro.errors.ExperimentError`
+    names any two that share one, e.g. one sweep at two port counts).
+    Every cell gets an independent deterministic RNG stream derived from
+    the profile seed, so sub-matrices reproduce the full matrix's cells
+    exactly and the worker count never changes any number.
+    ``workers``/``backend`` default to the
     profile's settings (``workers=0`` means one per core); ``use_cache``
     consults and fills the process-wide content-keyed cell cache.
 
@@ -566,6 +569,7 @@ def run_matrix(
     programs_explicit = programs is not None
     programs = list(programs) if programs is not None else load_suite(profile)
     configs = list(configs) if configs is not None else iso_capacity_sweep()
+    _check_distinct_dbcs(configs)
     specs = policy_specs(policy_names, profile)
     policies = build_policies(policy_names, profile)
     if workers is None:
@@ -697,6 +701,22 @@ def run_matrix(
         if owned_store and store_obj is not None:
             store_obj.close()
     return results
+
+
+def _check_distinct_dbcs(configs: Sequence[RTMConfig]) -> None:
+    """Results are keyed by DBC count: two configs sharing one would
+    silently overwrite each other's cells, so refuse them up front."""
+    by_dbcs: dict[int, RTMConfig] = {}
+    for config in configs:
+        other = by_dbcs.get(config.dbcs)
+        if other is not None:
+            raise ExperimentError(
+                f"configs share {config.dbcs} DBCs and would overwrite each "
+                f"other's results (keyed by benchmark, policy, dbcs): "
+                f"{other.describe()} vs {config.describe()}; pass each DBC "
+                f"count once per run_matrix call"
+            )
+        by_dbcs[config.dbcs] = config
 
 
 def _enqueue_pending(

@@ -66,6 +66,20 @@ class TestRunMatrix:
             assert cell.report.runtime_ns > 0
             assert cell.report.total_energy_pj > 0
 
+    def test_configs_sharing_a_dbc_count_rejected(self):
+        """Results are keyed by DBC count: one sweep at two port counts
+        would overwrite half the cells, so it is refused before any work."""
+        configs = (iso_capacity_sweep(dbc_counts=(2, 4))
+                   + iso_capacity_sweep(dbc_counts=(4,), ports_per_track=4))
+        with pytest.raises(ExperimentError, match="share 4 DBCs") as exc:
+            run_matrix(("AFD-OFU",), TINY, configs=configs, use_cache=False)
+        assert "1 port(s)/track" in str(exc.value)
+        assert "4 port(s)/track" in str(exc.value)
+        config = iso_capacity_sweep(dbc_counts=(2,))[0]
+        with pytest.raises(ExperimentError, match="share 2 DBCs"):
+            run_matrix(("AFD-OFU",), TINY, configs=[config, config],
+                       use_cache=False)
+
 
 class TestBuildPolicies:
     def test_profile_budgets_applied(self):
