@@ -12,14 +12,14 @@ the rng.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.ga import GAConfig, GeneticPlacer
 from repro.core.inter.afd import afd_partition, afd_placement
-from repro.core.inter.dma import dma_placement
+from repro.core.inter.dma import dma_placement, order_non_disjoint
 from repro.core.inter.multiset import multiset_dma_placement
 from repro.core.intra import (
     INTRA_HEURISTICS,
@@ -65,23 +65,15 @@ class Policy:
         return placement.padded(num_dbcs)
 
 
-def _apply_intra(
-    sequence: AccessSequence,
-    dbcs: Sequence[Sequence[str]],
-    intra: Callable[[AccessSequence, Sequence[str]], list[str]],
-) -> Placement:
-    return Placement(
-        [intra(sequence, list(d)) if len(d) > 1 else list(d) for d in dbcs]
-    )
-
-
 def _afd_raw(seq, q, cap, _rng) -> Placement:
     return afd_placement(seq, q, cap)
 
 
 def _afd_with(intra) -> PlaceFn:
     def fn(seq, q, cap, _rng) -> Placement:
-        return _apply_intra(seq, afd_partition(seq, q, cap), intra)
+        return Placement(
+            order_non_disjoint(seq, afd_partition(seq, q, cap), 0, intra)
+        )
 
     return fn
 

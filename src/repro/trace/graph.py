@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
+import numpy as np
+
 from repro.errors import TraceError
 from repro.trace.sequence import AccessSequence
 
@@ -21,16 +23,26 @@ class AccessGraph:
 
     def __init__(self, sequence: AccessSequence) -> None:
         self._seq = sequence
-        adj: dict[str, dict[str, int]] = {v: {} for v in sequence.variables}
-        self_transitions = 0
-        for u, v in sequence.consecutive_pairs():
-            if u == v:
-                self_transitions += 1
-                continue
-            adj[u][v] = adj[u].get(v, 0) + 1
-            adj[v][u] = adj[v].get(u, 0) + 1
+        names = sequence.variables
+        adj: dict[str, dict[str, int]] = {v: {} for v in names}
+        codes = sequence.codes
+        a, b = codes[:-1], codes[1:]
+        moves = a != b
+        self._self_transitions = int(a.size - np.count_nonzero(moves))
+        # Key each unordered pair {u, v} as min*V + max and count it.
+        # Filling the dicts in order of each pair's first occurrence gives
+        # every vertex the neighbour insertion order of a scan over S.
+        n = len(names)
+        keys = np.minimum(a, b)[moves] * n + np.maximum(a, b)[moves]
+        pairs, first, counts = np.unique(
+            keys, return_index=True, return_counts=True
+        )
+        order = np.argsort(first)
+        for key, w in zip(pairs[order].tolist(), counts[order].tolist()):
+            u, v = names[key // n], names[key % n]
+            adj[u][v] = w
+            adj[v][u] = w
         self._adj = adj
-        self._self_transitions = self_transitions
 
     # -- queries -------------------------------------------------------------
 
@@ -93,10 +105,20 @@ class AccessGraph:
     def to_dot(self, name: str = "access_graph") -> str:
         """Graphviz DOT rendering (edge labels = weights, for papers/docs)."""
         lines = [f"graph {name} {{"]
-        freq = {v: self._seq.frequency(v) for v in self.vertices}
         for v in self.vertices:
-            lines.append(f'  "{v}" [label="{v} ({freq[v]})"];')
+            lines.append(
+                f'  "{_dot_escape(v)}" '
+                f'[label="{_dot_escape(v)} ({self._seq.frequency(v)})"];'
+            )
         for u, v, w in self.edges():
-            lines.append(f'  "{u}" -- "{v}" [label="{w}", weight={w}];')
+            lines.append(
+                f'  "{_dot_escape(u)}" -- "{_dot_escape(v)}" '
+                f'[label="{w}", weight={w}];'
+            )
         lines.append("}")
         return "\n".join(lines)
+
+
+def _dot_escape(text: str) -> str:
+    """Escape ``\\`` and ``"`` for a double-quoted DOT ID or label."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')

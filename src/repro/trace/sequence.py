@@ -49,15 +49,7 @@ class AccessSequence:
             variables = list(seen)
         else:
             variables = list(variables)
-        if not variables:
-            raise TraceError("an access sequence needs at least one variable")
-        index: dict[str, int] = {}
-        for i, v in enumerate(variables):
-            if not isinstance(v, str) or not v:
-                raise TraceError(f"variable names must be non-empty strings, got {v!r}")
-            if v in index:
-                raise TraceError(f"duplicate variable {v!r}")
-            index[v] = i
+        index = _index_names(variables)
         codes = np.empty(len(accesses), dtype=np.int64)
         for i, a in enumerate(accesses):
             code = index.get(a)
@@ -69,6 +61,22 @@ class AccessSequence:
         self._index = index
         self._codes = codes
         self._name = name
+
+    @classmethod
+    def _from_parts(
+        cls,
+        variables: tuple[str, ...],
+        index: dict[str, int],
+        codes: np.ndarray,
+        name: str,
+    ) -> "AccessSequence":
+        """Adopt already-validated parts as-is (read-only int64 ``codes``)."""
+        seq = cls.__new__(cls)
+        seq._variables = variables
+        seq._index = index
+        seq._codes = codes
+        seq._name = name
+        return seq
 
     # -- basic protocol ----------------------------------------------------
 
@@ -158,12 +166,19 @@ class AccessSequence:
         unknown = wanted.difference(self._index)
         if unknown:
             raise TraceError(f"unknown variables in subset: {sorted(unknown)}")
-        keep_vars = [v for v in self._variables if v in wanted]
-        if not keep_vars:
+        if not wanted:
             raise TraceError("subset must contain at least one variable")
-        mask = np.isin(self._codes, [self._index[v] for v in keep_vars])
-        kept = [self._variables[c] for c in self._codes[mask]]
-        return AccessSequence(kept, variables=keep_vars, name=name or self._name)
+        keep = sorted(self._index[v] for v in wanted)
+        remap = np.full(len(self._variables), -1, dtype=np.int64)
+        remap[keep] = np.arange(len(keep), dtype=np.int64)
+        local = remap[self._codes]
+        codes = local[local >= 0]
+        codes.setflags(write=False)
+        variables = tuple(self._variables[i] for i in keep)
+        index = {v: i for i, v in enumerate(variables)}
+        return AccessSequence._from_parts(
+            variables, index, codes, name or self._name
+        )
 
     @classmethod
     def from_codes(
@@ -182,17 +197,7 @@ class AccessSequence:
         immutable; read-only inputs are adopted as-is.
         """
         variables = tuple(variables)
-        if not variables:
-            raise TraceError("an access sequence needs at least one variable")
-        index: dict[str, int] = {}
-        for i, v in enumerate(variables):
-            if not isinstance(v, str) or not v:
-                raise TraceError(
-                    f"variable names must be non-empty strings, got {v!r}"
-                )
-            if v in index:
-                raise TraceError(f"duplicate variable {v!r}")
-            index[v] = i
+        index = _index_names(variables)
         codes = np.asarray(codes, dtype=np.int64)
         if codes.ndim != 1:
             raise TraceError(f"codes must be 1-D, got shape {codes.shape}")
@@ -203,22 +208,28 @@ class AccessSequence:
         if codes.flags.writeable:
             codes = codes.copy()
             codes.setflags(write=False)
-        seq = cls.__new__(cls)
-        seq._variables = variables
-        seq._index = index
-        seq._codes = codes
-        seq._name = name
-        return seq
+        return cls._from_parts(variables, index, codes, name)
 
     def with_name(self, name: str) -> "AccessSequence":
-        clone = AccessSequence.__new__(AccessSequence)
-        clone._variables = self._variables
-        clone._index = self._index
-        clone._codes = self._codes
-        clone._name = name
-        return clone
+        return AccessSequence._from_parts(
+            self._variables, self._index, self._codes, name
+        )
 
     def consecutive_pairs(self) -> Iterable[tuple[str, str]]:
         """Yield the ``(s_i, s_{i+1})`` pairs used to build access graphs."""
         for i in range(len(self) - 1):
             yield self._variables[self._codes[i]], self._variables[self._codes[i + 1]]
+
+
+def _index_names(variables: Sequence[str]) -> dict[str, int]:
+    """Name -> declaration index, rejecting empty universes and bad names."""
+    if not variables:
+        raise TraceError("an access sequence needs at least one variable")
+    index: dict[str, int] = {}
+    for i, v in enumerate(variables):
+        if not isinstance(v, str) or not v:
+            raise TraceError(f"variable names must be non-empty strings, got {v!r}")
+        if v in index:
+            raise TraceError(f"duplicate variable {v!r}")
+        index[v] = i
+    return index

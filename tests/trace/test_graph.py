@@ -80,3 +80,22 @@ class TestNetworkxExport:
         g = AccessGraph(fig3_sequence).to_networkx()
         assert g.number_of_nodes() == 9
         assert g["a"]["b"]["weight"] == AccessGraph(fig3_sequence).weight("a", "b")
+
+
+class TestDotExport:
+    def test_quotes_and_backslashes_are_escaped(self):
+        seq = AccessSequence(['a"b', "c\\", 'a"b'], variables=['a"b', "c\\"])
+        dot = AccessGraph(seq).to_dot()
+        assert dot.splitlines() == [
+            "graph access_graph {",
+            '  "a\\"b" [label="a\\"b (2)"];',
+            '  "c\\\\" [label="c\\\\ (1)"];',
+            '  "a\\"b" -- "c\\\\" [label="2", weight=2];',
+            "}",
+        ]
+
+    def test_plain_names_render_unchanged(self, tiny_graph):
+        assert tiny_graph.to_dot().splitlines()[1:3] == [
+            '  "a" [label="a (2)"];',
+            '  "b" [label="b (2)"];',
+        ]
