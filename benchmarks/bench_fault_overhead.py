@@ -9,9 +9,8 @@ path — its row is gated at ``--max-overhead`` (default 1.05x) of the
 clean time. Live-fault rows pay for the vectorized post-pass and are
 gated at ``--min-ratio`` (default 0.25x) of clean throughput. Every
 faulted row is also cross-checked bit-identical across the reference
-and numpy backends (and numba when the ``compiled`` extra is
-installed) — the determinism contract, enforced where the perf numbers
-are produced.
+and numpy backends — the determinism contract, enforced where the perf
+numbers are produced.
 
 Usage::
 
@@ -31,7 +30,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.engine import FaultModel, ShiftRequest, get_backend
-from repro.engine.numba_backend import NUMBA_AVAILABLE, NumbaBackend, warmup
 
 
 def make_arrays(accesses: int, num_dbcs: int, domains: int, seed: int):
@@ -93,9 +91,6 @@ def main(argv=None) -> int:
 
     reference = get_backend("reference")
     vectorized = get_backend("numpy")
-    compiled = NumbaBackend() if NUMBA_AVAILABLE else None
-    if compiled is not None:
-        warmup()  # compile both clean and fault kernels off the clock
 
     dbc, slot = make_arrays(args.accesses, args.dbcs, args.domains, args.seed)
     rows = []
@@ -130,8 +125,6 @@ def main(argv=None) -> int:
                                    ports, fault)
             expected = vectorized.run(request)
             same = reference.run(request) == expected
-            if compiled is not None:
-                same = same and compiled.run(request) == expected
             identical = identical and same
             t_fault = time_call(lambda: vectorized.run(request), args.repeats)
             ratio = t_clean / t_fault
@@ -145,10 +138,6 @@ def main(argv=None) -> int:
                 "misaligned": expected.faults.misaligned,
                 "identical": same,
             }
-            if compiled is not None:
-                t_nb = time_call(lambda: compiled.run(request), args.repeats)
-                frow["numba_s"] = t_nb
-                frow["numba_accesses_per_s"] = args.accesses / t_nb
             print(f"  rate={rate:g}: numpy faulted "
                   f"{frow['numpy_accesses_per_s']:,.0f} acc/s "
                   f"({ratio:.2f}x clean, {frow['injected']} injected, "
@@ -159,7 +148,6 @@ def main(argv=None) -> int:
 
     payload = {
         "benchmark": "fault_overhead",
-        "numba_available": NUMBA_AVAILABLE,
         "accesses": args.accesses,
         "dbcs": args.dbcs,
         "domains": args.domains,

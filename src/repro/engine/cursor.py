@@ -38,9 +38,7 @@ class ShiftCursor:
     ``init_aligned`` seed the cursor mid-state (e.g. from a controller
     that already executed earlier traces); by default every DBC starts
     at offset 0, unaligned. ``backend`` accepts anything
-    :func:`repro.engine.get_backend` does — including ``"auto"`` and
-    the optional compiled backend, whose carry-in support makes chunked
-    replay chunk-size-invariant exactly like the core backends.
+    :func:`repro.engine.get_backend` does.
 
     With a ``fault`` model attached, the cursor also carries the
     per-DBC physical-minus-believed drift across chunks and threads the

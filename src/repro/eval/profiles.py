@@ -13,13 +13,9 @@ keeping every code path identical:
 Select via ``REPRO_PROFILE=quick|full|smoke`` or pass a profile object
 explicitly. The execution knobs of the shift-engine refactor ride along
 on the profile: ``engine_backend`` picks the shift engine (vectorized
-``numpy`` by default, ``reference`` for the per-access oracle, ``numba``
-for the optional JIT-compiled backend when the ``compiled`` extra is
-installed, or ``auto`` to micro-calibrate the fastest available — the
-matrix runner resolves ``auto`` to a concrete name in the parent, so
-pool workers and store cell keys always agree) and ``workers`` the
-process-pool width of the matrix runner; both can be forced from the
-environment with ``REPRO_BACKEND`` / ``REPRO_WORKERS``
+``numpy`` by default, ``reference`` for the per-access oracle) and
+``workers`` the process-pool width of the matrix runner; both can be
+forced from the environment with ``REPRO_BACKEND`` / ``REPRO_WORKERS``
 (``REPRO_WORKERS=0`` means "all cores").
 
 ``search_scale`` multiplies the search-based policies' budgets — the
@@ -64,6 +60,7 @@ import math
 import os
 from dataclasses import dataclass, field, replace
 
+from repro.engine import backend_from_env
 from repro.errors import ExperimentError
 from repro.trace.generators.offsetstone import OFFSETSTONE_NAMES
 
@@ -80,7 +77,7 @@ class EvalProfile:
     benchmarks: tuple[str, ...] = OFFSETSTONE_NAMES
     write_ratio: float = 0.25
     #: Shift-engine backend for simulation and analytic costs
-    #: (a registered name, or ``auto`` for the fastest available).
+    #: (a registered name: ``numpy`` or ``reference``).
     engine_backend: str = "numpy"
     #: Process-pool width of the matrix runner (1 = serial, 0 = all cores).
     workers: int = 1
@@ -177,9 +174,9 @@ def profile_from_env(default: str = "quick") -> EvalProfile:
         raise ExperimentError(
             f"unknown REPRO_PROFILE {name!r}; choose from {sorted(_PROFILES)}"
         ) from None
-    backend = os.environ.get("REPRO_BACKEND")
+    backend = backend_from_env()
     if backend:
-        profile = replace(profile, engine_backend=backend.strip().lower())
+        profile = replace(profile, engine_backend=backend)
     workers = os.environ.get("REPRO_WORKERS")
     if workers:
         try:

@@ -39,6 +39,7 @@ import hashlib
 import json
 import logging
 import math
+import operator
 import os
 import time
 from collections.abc import Iterable, Sequence
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 
 from repro.core.cost import shift_cost
 from repro.core.policies import Policy, get_policy
-from repro.engine import FaultModel
+from repro.engine import FaultModel, get_backend
 from repro.errors import ExperimentError, SimulationError
 from repro.eval.profiles import EvalProfile, QUICK_PROFILE
 from repro.rtm.geometry import RTMConfig, iso_capacity_sweep
@@ -116,15 +117,25 @@ def last_matrix_stats() -> MatrixStats | None:
     return _LAST_STATS
 
 
-def parse_shard(text: str) -> tuple[int, int]:
-    """Parse an ``i/N`` shard designator into ``(index, count)``."""
+def parse_shard(shard: str | tuple[int, int]) -> tuple[int, int]:
+    """Validate an ``i/N`` designator or an ``(index, count)`` pair.
+
+    The one shard check behind ``run_matrix(shard=...)`` and
+    ``--shard``: both forms must satisfy ``0 <= index < count``, else
+    :class:`~repro.errors.ExperimentError`.
+    """
     try:
-        index_s, _, count_s = text.partition("/")
-        index, count = int(index_s), int(count_s)
-    except ValueError:
-        raise ValueError(f"shard must look like i/N, got {text!r}") from None
+        if isinstance(shard, str):
+            index_s, _, count_s = shard.partition("/")
+            index, count = int(index_s), int(count_s)
+        else:
+            index, count = (operator.index(v) for v in shard)
+    except (TypeError, ValueError):
+        raise ExperimentError(
+            f"shard must look like i/N or (i, N), got {shard!r}"
+        ) from None
     if count < 1 or not 0 <= index < count:
-        raise ValueError(
+        raise ExperimentError(
             f"shard index must satisfy 0 <= i < N, got {index}/{count}"
         )
     return index, count
@@ -566,6 +577,8 @@ def run_matrix(
     :func:`last_matrix_stats`.
     """
     global _LAST_STATS
+    if shard is not None:
+        shard = parse_shard(shard)
     programs_explicit = programs is not None
     programs = list(programs) if programs is not None else load_suite(profile)
     configs = list(configs) if configs is not None else iso_capacity_sweep()
@@ -577,15 +590,10 @@ def run_matrix(
     if backend is None:
         backend = profile.engine_backend
     if isinstance(backend, str):
-        # Resolve aliases ("auto") to one concrete backend name *here*,
-        # in the parent: the name is hashed into every cell key and
-        # shipped verbatim to the pool initializer, so workers can never
-        # calibrate to a different backend than the one the parent keyed
-        # the cells with. Unknown/uninstalled names fail fast with the
-        # pointed install hint instead of deep inside a worker.
-        from repro.engine import resolve_backend_name
-
-        backend = resolve_backend_name(backend)
+        # The name is hashed into every cell key and shipped verbatim to
+        # the pool initializer: an unknown one fails fast here, in the
+        # parent, instead of deep inside a worker.
+        get_backend(backend)
     if offline is None:
         offline = profile.offline
     if shared_traces is None:
@@ -608,8 +616,6 @@ def run_matrix(
             raise ExperimentError(
                 f"scrub_interval must be >= 1, got {scrub_interval}"
             )
-    if isinstance(shard, str):
-        shard = parse_shard(shard)
     workers = _resolve_workers(workers)
     store_obj, owned_store = _resolve_store(store, profile)
     if enqueue:

@@ -3,19 +3,20 @@ accesses against per-DBC device state.
 
 This is the piece RTSim plays in the paper's flow: it receives a memory
 trace and a placement, drives the shift machinery, and accounts latency
-and energy using the DESTINY-calibrated parameters. Since the shift-
-engine refactor it no longer walks traces one access at a time: a trace
-is compiled to flat ``(dbc, slot)`` arrays once and handed to an engine
-backend (vectorized numpy by default, the per-access reference loop on
-request), with the per-DBC shift state carried between ``execute`` calls
-exactly as the old per-access device loop did.
+and energy using the DESTINY-calibrated parameters. It never walks traces
+one access at a time: a trace is compiled to flat ``(dbc, slot)`` arrays
+and replayed by one :class:`~repro.engine.ShiftCursor` (one chunk for a
+materialized trace, many for a streaming one) over an engine backend
+(vectorized numpy by default, the per-access reference loop on request),
+with the per-DBC shift state carried between ``execute`` calls exactly as
+the old per-access device loop did.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.engine import FaultModel, ShiftRequest, get_backend
+from repro.engine import FaultModel, get_backend
 from repro.engine.cursor import ShiftCursor
 from repro.errors import PlacementError, SimulationError
 from repro.rtm.geometry import RTMConfig
@@ -150,29 +151,21 @@ class RTMController:
                 raise SimulationError(f"variable {name!r} has no location")
         return var_dbc[codes], var_slot[codes]
 
-    def _report(
-        self,
-        reads: int,
-        writes: int,
-        shifts: int,
-        *,
-        scrub_shifts: int = 0,
-        scrub_events: int = 0,
-        fault_injected: int = 0,
-        fault_misaligned: int = 0,
-    ) -> SimReport:
-        """Price integer access/shift totals into one :class:`SimReport`.
+    def _report(self, cursor: ShiftCursor, writes: int) -> SimReport:
+        """Price a finished cursor's integer totals into one :class:`SimReport`.
 
-        Shared by the monolithic and streaming paths; building the
-        report once from accumulated *integer* counters (instead of
-        summing per-chunk float reports) is what keeps streamed reports
-        float-bit-identical to monolithic ones. Scrub shifts are real
-        device shifts — they pay latency and shift energy like any
-        other — but stay out of ``shifts``/``per_dbc_shifts`` so
-        placement traffic remains comparable across fault settings.
+        Building the report once from accumulated *integer* counters
+        (instead of summing per-chunk float reports) is what keeps
+        streamed reports float-bit-identical to monolithic ones. Scrub
+        shifts are real device shifts — they pay latency and shift
+        energy like any other — but stay out of
+        ``shifts``/``per_dbc_shifts`` so placement traffic remains
+        comparable across fault settings.
         """
         p = self.params
-        device_shifts = shifts + scrub_shifts
+        reads = cursor.accesses - writes
+        shifts = cursor.shifts
+        device_shifts = shifts + cursor.scrub_shifts
         runtime = (
             device_shifts * p.shift_latency_ns
             + reads * p.read_latency_ns
@@ -198,11 +191,11 @@ class RTMController:
             leakage_energy_pj=p.leakage_mw * runtime,
             area_mm2=p.area_mm2,
             per_dbc_shifts=tuple(int(s) for s in self._per_dbc_shifts),
-            fault_injected=fault_injected,
-            fault_misaligned=fault_misaligned,
+            fault_injected=cursor.fault_injected,
+            fault_misaligned=cursor.fault_misaligned,
             fault_corrupted=self._corrupted,
-            scrub_shifts=scrub_shifts,
-            scrub_events=scrub_events,
+            scrub_shifts=cursor.scrub_shifts,
+            scrub_events=cursor.scrub_events,
             drift_histogram=histogram,
         )
 
@@ -257,6 +250,24 @@ class RTMController:
             self._drifts = np.asarray(cursor.drifts, dtype=np.int64)
             self._corrupted = self._corrupted or cursor.corrupted
 
+    def _replay(self, chunks) -> SimReport:
+        """Replay ``(dbc, slot, writes)`` chunks through one carried cursor.
+
+        The one replay path behind :meth:`execute` and
+        :meth:`execute_stream`: a materialized trace is a single chunk,
+        a streaming trace many. The cursor is seeded with the
+        controller's carried state and absorbed back afterwards, so
+        chained calls compose, clean or faulted, and the scrubbing
+        cadence is identical however the accesses arrive.
+        """
+        cursor = self._make_cursor()
+        writes = 0
+        for dbc, slot, chunk_writes in chunks:
+            self._replay_scrubbed(cursor, dbc, slot)
+            writes += chunk_writes
+        self._absorb_cursor(cursor)
+        return self._report(cursor, writes)
+
     def execute(self, trace: MemoryTrace) -> SimReport:
         """Run one trace to completion and report counters and energy.
 
@@ -266,39 +277,7 @@ class RTMController:
         if hasattr(trace, "chunks"):
             return self.execute_stream(trace)
         dbc, slot = self._compile(trace)
-        writes = trace.num_writes
-        reads = len(trace) - writes
-        if self.fault is not None:
-            # Faulted replay routes through a cursor so the scrubbing
-            # cadence (and the drift carry) is identical to streaming.
-            cursor = self._make_cursor()
-            self._replay_scrubbed(cursor, dbc, slot)
-            self._absorb_cursor(cursor)
-            return self._report(
-                reads, writes, cursor.shifts,
-                scrub_shifts=cursor.scrub_shifts,
-                scrub_events=cursor.scrub_events,
-                fault_injected=cursor.fault_injected,
-                fault_misaligned=cursor.fault_misaligned,
-            )
-        result = self._backend.run(
-            ShiftRequest(
-                dbc=dbc,
-                slot=slot,
-                num_dbcs=self.config.dbcs,
-                domains=self.config.domains_per_track,
-                ports=self.config.ports_per_track,
-                policy=self.port_policy,
-                warm_start=self.warm_start,
-                init_offsets=self._offsets,
-                init_aligned=self._aligned,
-            )
-        )
-        self._offsets = result.final_offsets
-        self._aligned = result.final_aligned
-        self._per_dbc_shifts += np.asarray(result.per_dbc_shifts, dtype=np.int64)
-        self._accesses_done += result.accesses
-        return self._report(reads, writes, result.shifts)
+        return self._replay([(dbc, slot, trace.num_writes)])
 
     def execute_stream(self, trace, chunk_hooks=()) -> SimReport:
         """Run a streaming trace chunk by chunk in bounded memory.
@@ -306,16 +285,13 @@ class RTMController:
         ``trace`` is anything yielding
         :class:`~repro.trace.streaming.TraceChunk`-shaped objects from
         ``chunks()`` with a ``sequence`` carrying the variable universe
-        (e.g. :class:`~repro.trace.streaming.StreamingTrace`). A
-        :class:`~repro.engine.ShiftCursor` seeded with the controller's
-        carried shift state advances over the chunks, so chained
-        ``execute`` calls keep their semantics; by the cursor's
-        associativity contract the resulting report is bit-identical —
-        integer counters *and* derived floats — to :meth:`execute` over
-        the materialized trace, for any chunk size.
+        (e.g. :class:`~repro.trace.streaming.StreamingTrace`). By the
+        cursor's associativity contract the resulting report is
+        bit-identical — integer counters *and* derived floats — to
+        :meth:`execute` over the materialized trace, for any chunk size.
 
         ``chunk_hooks`` are called as ``hook(chunk, dbc, slot)`` after
-        each chunk is compiled, letting callers ride along the single
+        each chunk is replayed, letting callers ride along the single
         pass (the matrix runner advances its analytic single-port
         observer cursor this way instead of re-reading the trace).
 
@@ -329,25 +305,17 @@ class RTMController:
         if missing.size:
             name = info.variables[int(missing[0])]
             raise SimulationError(f"variable {name!r} has no location")
-        cursor = self._make_cursor()
-        reads = writes = 0
-        for chunk in trace.chunks():
-            codes = chunk.codes
-            dbc, slot = var_dbc[codes], var_slot[codes]
-            self._replay_scrubbed(cursor, dbc, slot)
-            w = int(np.count_nonzero(chunk.writes))
-            writes += w
-            reads += int(codes.size) - w
-            for hook in chunk_hooks:
-                hook(chunk, dbc, slot)
-        self._absorb_cursor(cursor)
-        return self._report(
-            reads, writes, cursor.shifts,
-            scrub_shifts=cursor.scrub_shifts,
-            scrub_events=cursor.scrub_events,
-            fault_injected=cursor.fault_injected,
-            fault_misaligned=cursor.fault_misaligned,
-        )
+
+        def compiled():
+            for chunk in trace.chunks():
+                codes = chunk.codes
+                dbc, slot = var_dbc[codes], var_slot[codes]
+                yield dbc, slot, int(np.count_nonzero(chunk.writes))
+                # Resumed once _replay has replayed this chunk.
+                for hook in chunk_hooks:
+                    hook(chunk, dbc, slot)
+
+        return self._replay(compiled())
 
     def reset(self) -> None:
         """Return all DBCs to the unaligned initial state."""

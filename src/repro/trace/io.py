@@ -273,9 +273,17 @@ def _parse_address_line(raw: str, line_no: int) -> tuple[int, bool] | None:
         raise TraceFormatError(
             f"line {line_no}: no address field in {raw.strip()!r}"
         )
-    if addr < 0:
+    # One chained compare per line (this is the ingest hot loop); the
+    # upper bound is int64, how addresses are held downstream, which
+    # e.g. kernel-space addresses (0xffffffff81000000) exceed.
+    if not 0 <= addr <= 0x7FFF_FFFF_FFFF_FFFF:
+        if addr < 0:
+            raise TraceFormatError(
+                f"line {line_no}: address must be non-negative, got {addr}"
+            )
         raise TraceFormatError(
-            f"line {line_no}: address must be non-negative, got {addr}"
+            f"line {line_no}: address {addr:#x} exceeds the 63-bit "
+            f"address range (max 0x7fffffffffffffff)"
         )
     return addr, is_write
 

@@ -10,6 +10,7 @@ from repro.engine import (
     available_backends,
     clear_compile_caches,
     compile_access_arrays,
+    describe_backends,
     get_backend,
     single_port_warm_total,
     trace_fingerprint,
@@ -21,14 +22,7 @@ from repro.trace.trace import MemoryTrace
 
 class TestBackendRegistry:
     def test_both_backends_registered(self):
-        # The core pair is always present; the optional numba backend is
-        # registered exactly when its import gate passed.
-        from repro.engine.numba_backend import NUMBA_AVAILABLE
-
-        registered = available_backends()
-        assert "numpy" in registered and "reference" in registered
-        assert ("numba" in registered) == NUMBA_AVAILABLE
-        assert set(registered) <= {"numpy", "reference", "numba"}
+        assert available_backends() == ("numpy", "reference")
 
     def test_lookup_by_name(self):
         assert get_backend("numpy").name == "numpy"
@@ -42,6 +36,27 @@ class TestBackendRegistry:
         monkeypatch.setenv("REPRO_BACKEND", "reference")
         assert get_backend(None).name == "reference"
 
+    @pytest.mark.parametrize("raw", [" Reference ", "REFERENCE"])
+    def test_env_override_normalized(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_BACKEND", raw)
+        assert get_backend(None).name == "reference"
+
+    def test_blank_env_is_default(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "  ")
+        assert get_backend(None).name == "numpy"
+
+    @pytest.mark.parametrize("name", ["auto", "numba"])
+    def test_retired_names_rejected(self, monkeypatch, name):
+        with pytest.raises(SimulationError, match="numpy, reference"):
+            get_backend(name)
+        monkeypatch.setenv("REPRO_BACKEND", name)
+        with pytest.raises(SimulationError, match="numpy, reference"):
+            get_backend(None)
+
+    def test_describe_lists_registered_backends(self):
+        assert [name for name, _ in describe_backends()] == [
+            "numpy", "reference"]
+
     def test_instance_passthrough(self):
         backend = get_backend("reference")
         assert get_backend(backend) is backend
@@ -53,6 +68,13 @@ class TestBackendRegistry:
     def test_non_backend_rejected(self):
         with pytest.raises(SimulationError):
             get_backend(42)
+
+    def test_non_callable_run_rejected(self):
+        class Impostor:
+            run = "not callable"
+
+        with pytest.raises(SimulationError, match="non-callable"):
+            get_backend(Impostor())
 
 
 class TestShiftRequestValidation:

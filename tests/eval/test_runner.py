@@ -80,6 +80,26 @@ class TestRunMatrix:
             run_matrix(("AFD-OFU",), TINY, configs=[config, config],
                        use_cache=False)
 
+    @pytest.mark.parametrize("shard", [
+        (5, 2), (-1, 2), (0, 0), (2, 2), (1,), ("a", 2),
+        "5/2", "-1/2", "0/0", "x/y", "1",
+    ], ids=str)
+    def test_invalid_shard_rejected(self, shard):
+        """Tuple and string shards go through one check: an out-of-range
+        shard must not silently shard out every cell (or divide by 0)."""
+        with pytest.raises(ExperimentError, match="shard"):
+            run_matrix(("DMA-SR",), TINY,
+                       configs=iso_capacity_sweep(dbc_counts=(2,)),
+                       shard=shard, use_cache=False)
+
+    def test_tuple_and_string_shards_agree(self):
+        configs = iso_capacity_sweep(dbc_counts=(2, 4))
+        as_tuple = run_matrix(("DMA-SR",), TINY, configs=configs,
+                              shard=(1, 2), use_cache=False)
+        as_text = run_matrix(("DMA-SR",), TINY, configs=configs,
+                             shard="1/2", use_cache=False)
+        assert as_tuple == as_text
+
 
 class TestBuildPolicies:
     def test_profile_budgets_applied(self):

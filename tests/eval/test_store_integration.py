@@ -136,8 +136,9 @@ class TestSharding:
     def test_parse_shard(self):
         assert parse_shard("0/2") == (0, 2)
         assert parse_shard("3/4") == (3, 4)
-        for bad in ("2/2", "-1/2", "0/0", "x/y", "1"):
-            with pytest.raises(ValueError):
+        assert parse_shard((1, 3)) == (1, 3)
+        for bad in ("2/2", "-1/2", "0/0", "x/y", "1", (5, 2), (0, 0)):
+            with pytest.raises(ExperimentError):
                 parse_shard(bad)
 
     def test_shards_partition_the_matrix(self):

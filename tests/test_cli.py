@@ -125,10 +125,13 @@ class TestExperimentStoreFlags:
             main_experiment(["table1", "--store", str(tmp_path / "s.db"),
                              "--shard", "0/2"])
 
-    def test_bad_shard_designator(self, tmp_path):
-        with pytest.raises(SystemExit):
+    @pytest.mark.parametrize("shard", ["2/2", "-1/2", "0/0", "x/y"])
+    def test_bad_shard_designator(self, tmp_path, shard, capsys):
+        with pytest.raises(SystemExit) as exc:
             main_experiment(["fig6", "--store", str(tmp_path / "s.db"),
-                             "--shard", "2/2"])
+                             "--shard", shard])
+        assert exc.value.code == 2
+        assert "shard" in capsys.readouterr().err
 
 
 class TestFaultFlags:
@@ -172,29 +175,47 @@ class TestBackendFlags:
     def test_list_backends(self, capsys):
         assert main_experiment(["--list-backends"]) == 0
         out = capsys.readouterr().out
-        assert "auto" in out and "numpy" in out and "reference" in out
-        assert "numba" in out  # known optional backend always listed
-        from repro.engine.numba_backend import NUMBA_AVAILABLE
+        assert "numpy" in out and "reference" in out
+        assert "auto" not in out and "numba" not in out
 
-        if not NUMBA_AVAILABLE:
-            assert "pip install" in out and "[compiled]" in out
-
-    def test_uninstalled_backend_gets_pointed_error(self, trace_file,
-                                                    capsys):
-        from repro.engine.numba_backend import NUMBA_AVAILABLE
-
-        if NUMBA_AVAILABLE:
-            pytest.skip("needs numba absent")
-        with pytest.raises(SystemExit):
-            main_sim([trace_file, "--dbcs", "2", "--domains", "512",
-                      "--backend", "numba"])
+    @pytest.mark.parametrize("name", ["auto", "numba"])
+    @pytest.mark.parametrize("main", [main_place, main_sim, main_experiment])
+    def test_retired_backend_is_an_argparse_error(self, main, name,
+                                                  trace_file, capsys):
+        argv = ["fig6"] if main is main_experiment else [trace_file]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--backend", name])
+        assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "compiled" in err and "pip install" in err
+        assert "invalid choice" in err and "'numpy', 'reference'" in err
 
-    def test_auto_backend_accepted(self, trace_file, capsys):
-        assert main_sim([trace_file, "--dbcs", "2", "--domains", "512",
-                        "--backend", "auto"]) == 0
+    def test_env_backend_normalized_for_sim(self, monkeypatch, trace_file,
+                                            capsys):
+        monkeypatch.setenv("REPRO_BACKEND", " NumPy ")
+        assert main_sim([trace_file, "--dbcs", "2", "--domains", "512"]) == 0
         assert "shifts" in capsys.readouterr().out
+
+    def test_env_backend_normalized_for_experiment(self, monkeypatch,
+                                                   capsys):
+        from repro.eval.runner import clear_cell_cache
+
+        monkeypatch.setenv("REPRO_PROFILE", "smoke")
+        monkeypatch.setenv("REPRO_BACKEND", " NumPy ")
+        clear_cell_cache()
+        assert main_experiment(["fig6", "--max-rows", "2"]) == 0
+        assert "Fig. 6" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["auto", "numba"])
+    def test_retired_env_backend_is_a_typed_error(self, monkeypatch, name,
+                                                  trace_file):
+        from repro.errors import SimulationError
+
+        monkeypatch.setenv("REPRO_PROFILE", "smoke")
+        monkeypatch.setenv("REPRO_BACKEND", name)
+        with pytest.raises(SimulationError, match="numpy, reference"):
+            main_sim([trace_file, "--dbcs", "2", "--domains", "512"])
+        with pytest.raises(SimulationError, match="numpy, reference"):
+            main_experiment(["fig6"])
 
 
 class TestExperimentWorkloads:

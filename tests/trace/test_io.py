@@ -162,6 +162,10 @@ class TestAddressTraces:
         with pytest.raises(TraceFormatError, match=match):
             parse_address_trace(text)
 
+    def test_largest_int64_address_accepted(self):
+        addrs, _ = parse_address_trace("0x7fffffffffffffff\n")
+        assert addrs.tolist() == [2**63 - 1]
+
     def test_word_granularity_groups_addresses(self):
         addrs = np.array([0, 1, 4, 5, 8])
         t = addresses_to_trace(addrs, word_bytes=4)
@@ -329,3 +333,35 @@ class TestAddressStreaming:
     def test_missing_file_raises_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             list(iter_address_trace(tmp_path / "nope.trc"))
+
+
+class TestHighAddresses:
+    """Addresses past int64 (kernel space in full-system traces) must
+    fail as a typed, line-numbered parse error on every ingest path."""
+
+    TEXT = "R 0x1000\nW 0xffffffff81000000\n"
+
+    def _ingest(self, how, tmp_path):
+        from repro.trace.streaming import stream_address_trace
+
+        path = tmp_path / "kernel.atrc"
+        path.write_text(self.TEXT)
+        if how == "parse":
+            parse_address_trace(self.TEXT)
+        elif how == "read":
+            read_address_trace(path)
+        else:
+            stream_address_trace(path, chunk=4)
+
+    @pytest.mark.parametrize("how", ["parse", "read", "stream"])
+    def test_rejected_with_line_number(self, how, tmp_path):
+        with pytest.raises(TraceFormatError, match="line 2: .*63-bit"):
+            self._ingest(how, tmp_path)
+
+    def test_trace_cli_exits_cleanly(self, tmp_path, capsys):
+        from repro.trace.cli import main_trace
+
+        path = tmp_path / "kernel.atrc"
+        path.write_text(self.TEXT)
+        assert main_trace(["stats", str(path)]) == 2
+        assert "line 2" in capsys.readouterr().err

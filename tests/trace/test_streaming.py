@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.placement import Placement
+from repro.engine import FaultModel
 from repro.engine.compile import trace_fingerprint
 from repro.errors import TraceError, TraceFormatError
 from repro.rtm.geometry import RTMConfig
@@ -258,6 +259,51 @@ class TestStreamedSimulation:
         b = RTMController(config, placement)
         first_s, second_s = b.execute(streamed), b.execute(streamed)
         assert (first_s, second_s) == (first_m, second_m)
+
+    @pytest.mark.parametrize("fault,scrub", [
+        (None, None),
+        (FaultModel(rate=0.05, seed=3), 47),
+    ], ids=["clean", "faulted-scrubbed"])
+    def test_mixed_chain_equals_one_monolithic_run(self, trace_file, fault,
+                                                   scrub):
+        """execute and execute_stream share one replay path: chaining
+        them on one controller equals one run over the concatenation —
+        carried head state, drift and the lifetime scrub cadence (47
+        straddles the call boundaries) included."""
+        from repro.rtm.controller import RTMController
+        from repro.trace.sequence import AccessSequence
+        from repro.trace.trace import MemoryTrace
+
+        streamed = stream_address_trace(trace_file, chunk=64)
+        mono = streamed.materialize()
+        whole = MemoryTrace(
+            AccessSequence.from_codes(
+                mono.sequence.variables, np.tile(mono.sequence.codes, 3)),
+            writes=np.tile(mono.writes, 3),
+        )
+        config = RTMConfig(dbcs=2, tracks_per_dbc=1, domains_per_track=64)
+        placement = round_robin_placement(streamed.variables, config.dbcs)
+        chained = RTMController(config, placement, fault=fault,
+                                scrub_interval=scrub)
+        parts = [chained.execute(mono), chained.execute_stream(streamed),
+                 chained.execute(mono)]
+        single = RTMController(config, placement, fault=fault,
+                               scrub_interval=scrub)
+        expected = single.execute(whole)
+        for field in ("accesses", "reads", "writes", "shifts",
+                      "fault_injected", "fault_misaligned", "scrub_shifts",
+                      "scrub_events"):
+            assert sum(getattr(r, field) for r in parts) == getattr(
+                expected, field), field
+        # Per-DBC shifts, drift and corruption are controller-lifetime
+        # state: the last report carries them.
+        last = parts[-1]
+        assert last.per_dbc_shifts == expected.per_dbc_shifts
+        assert last.drift_histogram == expected.drift_histogram
+        assert last.fault_corrupted == expected.fault_corrupted
+        assert np.array_equal(chained._offsets, single._offsets)
+        if fault is not None:
+            assert expected.scrub_events > 3 and expected.fault_injected > 0
 
     def test_streaming_constructor_validates_directly(self, trace_file):
         trace = StreamingTrace(
